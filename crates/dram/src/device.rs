@@ -7,7 +7,7 @@
 
 use crate::bank::Bank;
 use crate::cmd::DramCommand;
-use crate::data::{BankData, RowIntegrity};
+use crate::data::{BankData, RowIntegrity, GRANULE_BYTES};
 use crate::energy::DramEnergyModel;
 use crate::error::DramError;
 use crate::hammer::{BitFlip, HammerModel};
@@ -143,6 +143,10 @@ pub struct DramRank {
 }
 
 impl DramRank {
+    /// Cache-line columns per row in the data model: the column range a
+    /// RD/WR may address.
+    pub const COLS_PER_ROW: u16 = 128;
+
     /// Builds the rank described by `config`.
     ///
     /// # Panics
@@ -181,7 +185,12 @@ impl DramRank {
             })
             .collect();
         let data = (0..config.banks)
-            .map(|b| BankData::new(8_192, config.remap_seed ^ (u64::from(b) << 32)))
+            .map(|b| {
+                BankData::new(
+                    usize::from(Self::COLS_PER_ROW) * GRANULE_BYTES,
+                    config.remap_seed ^ (u64::from(b) << 32),
+                )
+            })
             .collect();
         let refresh = (0..config.banks)
             .map(|_| RefreshCursor::new(config.rows_per_bank, refs_per_window))

@@ -21,9 +21,10 @@
 
 use crate::latency::LatencyHistogram;
 use crate::pagepolicy::PagePolicy;
+use crate::queue::{QueuedRequest, RequestQueue};
 use crate::request::{AccessKind, MemRequest};
 use crate::resilience::{ControllerError, RetryPolicy, RetryState};
-use crate::scheduler::{make_scheduler, QueuedRequest, Scheduler, SchedulerKind};
+use crate::scheduler::{make_scheduler, Scheduler, SchedulerKind};
 use twice_common::fault::{FaultInjector, FaultKind, FaultPlan};
 use twice_common::snapshot::{
     Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, StateDigest,
@@ -65,6 +66,9 @@ pub enum DefenseLocation {
 /// Construction parameters for a [`ChannelController`].
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
+    /// The channel this controller serves: every request it queues
+    /// must decode to it.
+    pub channel: ChannelId,
     /// DDR timing set.
     pub timings: DdrTimings,
     /// Ranks on this channel.
@@ -113,6 +117,7 @@ impl ControllerConfig {
     /// The Table 4 per-channel configuration.
     pub fn paper_default() -> ControllerConfig {
         ControllerConfig {
+            channel: ChannelId(0),
             timings: DdrTimings::ddr4_2400(),
             ranks: 2,
             banks_per_rank: 16,
@@ -180,7 +185,7 @@ pub struct ChannelController {
     rcd: Rcd,
     mc_defense: Option<Box<dyn RowHammerDefense>>,
     scheduler: Box<dyn Scheduler>,
-    queue: Vec<QueuedRequest>,
+    queue: RequestQueue,
     next_id: u64,
     now: Time,
     /// Next auto-refresh due instant per flat (rank, bank).
@@ -259,7 +264,7 @@ impl ChannelController {
             scheduler: make_scheduler(cfg.scheduler),
             rcd,
             mc_defense,
-            queue: Vec::with_capacity(cfg.queue_capacity),
+            queue: RequestQueue::new(cfg.queue_capacity, cfg.ranks, cfg.banks_per_rank),
             next_id: 0,
             now: Time::ZERO,
             next_ref,
@@ -298,6 +303,15 @@ impl ChannelController {
         self
     }
 
+    /// Replaces the scheduler `cfg.scheduler` selected, keeping its
+    /// queue; call before the first submit. Lets a test run a reference
+    /// scheduler in lockstep with the built-in one.
+    #[must_use]
+    pub fn with_scheduler(mut self, scheduler: Box<dyn Scheduler>) -> ChannelController {
+        self.scheduler = scheduler;
+        self
+    }
+
     #[inline]
     fn flat_bank(&self, rank: usize, bank: u16) -> usize {
         rank * usize::from(self.cfg.banks_per_rank) + usize::from(bank)
@@ -316,6 +330,31 @@ impl ChannelController {
         self.queue.len() < self.cfg.queue_capacity
     }
 
+    /// Why `access` cannot be queued on this channel, if it cannot.
+    fn out_of_range(&self, access: &DecodedAccess) -> Option<String> {
+        let cfg = &self.cfg;
+        if access.channel != cfg.channel {
+            Some(format!(
+                "channel {} is not {}",
+                access.channel.0, cfg.channel.0
+            ))
+        } else if access.rank.0 >= cfg.ranks {
+            Some(format!("rank {} of {}", access.rank.0, cfg.ranks))
+        } else if access.bank >= cfg.banks_per_rank {
+            Some(format!("bank {} of {}", access.bank, cfg.banks_per_rank))
+        } else if access.row.0 >= cfg.rows_per_bank {
+            Some(format!("row {} of {}", access.row.0, cfg.rows_per_bank))
+        } else if access.col.0 >= DramRank::COLS_PER_ROW {
+            Some(format!(
+                "col {} of {}",
+                access.col.0,
+                DramRank::COLS_PER_ROW
+            ))
+        } else {
+            None
+        }
+    }
+
     /// Enqueues a request with its decoded coordinate.
     ///
     /// # Panics
@@ -326,12 +365,9 @@ impl ChannelController {
     /// [`has_capacity`]: Self::has_capacity
     pub fn submit(&mut self, req: MemRequest, access: DecodedAccess) {
         assert!(self.has_capacity(), "request queue overflow");
-        assert!(
-            u8::from(access.rank) < self.cfg.ranks
-                && access.bank < self.cfg.banks_per_rank
-                && access.row.0 < self.cfg.rows_per_bank,
-            "decoded access out of range for this channel"
-        );
+        if let Some(why) = self.out_of_range(&access) {
+            panic!("decoded access out of range for this channel: {why}");
+        }
         // Stamp the request with its true enqueue time so latency can be
         // measured queue-to-completion.
         let mut req = req;
@@ -409,15 +445,9 @@ impl ChannelController {
     pub fn service_one(&mut self) -> Result<bool, ControllerError> {
         self.service_due_refreshes()?;
         self.poll_corruption();
-        let pick = {
-            let queue = &self.queue;
-            let rcd = &self.rcd;
-            let open = |rank: twice_common::RankId, bank: u16| {
-                rcd.ranks()[usize::from(rank.0)].open_row(bank)
-            };
-            self.scheduler.pick(queue, &open)
+        let Some(idx) = self.scheduler.pick(&self.queue, self.rcd.ranks()) else {
+            return Ok(false);
         };
-        let Some(idx) = pick else { return Ok(false) };
         let q = self.queue[idx];
         let rank = usize::from(q.access.rank.0);
         let bank = q.access.bank;
@@ -468,16 +498,7 @@ impl ChannelController {
         let fb = self.flat_bank(rank, bank);
         self.hits_served[fb] += 1;
         // Page policy.
-        let queued_hits = self
-            .queue
-            .iter()
-            .filter(|o| {
-                o.id != q.id
-                    && o.access.rank == q.access.rank
-                    && o.access.bank == bank
-                    && o.access.row == q.access.row
-            })
-            .count();
+        let queued_hits = self.queue.queued_hits(&q);
         if self
             .cfg
             .page_policy
@@ -940,6 +961,31 @@ fn save_queued(w: &mut SnapshotWriter, q: &QueuedRequest) {
     w.put_u32(u32::from(q.access.col.0));
 }
 
+/// Rejects duplicate ids and ids the controller has not issued yet.
+fn check_queued_ids(queued: &[QueuedRequest], next_id: u64) -> Result<(), SnapshotError> {
+    let mut ids: Vec<u64> = queued.iter().map(|q| q.id).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(SnapshotError::StateMismatch(format!(
+            "request id {} queued twice",
+            w[0]
+        )));
+    }
+    match ids.last() {
+        Some(&id) if id >= next_id => Err(SnapshotError::StateMismatch(format!(
+            "queued request id {id} is not below the next id {next_id}"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// Narrows a snapshot's 32-bit field to the 16 bits it must fit.
+fn narrow(what: &str, v: u32) -> Result<u16, SnapshotError> {
+    u16::try_from(v).map_err(|_| {
+        SnapshotError::StateMismatch(format!("queued request {what} {v} does not fit 16 bits"))
+    })
+}
+
 fn load_queued(r: &mut SnapshotReader<'_>) -> Result<QueuedRequest, SnapshotError> {
     let id = r.take_u64()?;
     let addr = r.take_u64()?;
@@ -948,13 +994,13 @@ fn load_queued(r: &mut SnapshotReader<'_>) -> Result<QueuedRequest, SnapshotErro
     } else {
         AccessKind::Read
     };
-    let source = r.take_u32()? as u16;
+    let source = narrow("source", r.take_u32()?)?;
     let arrival = Time::from_ps(r.take_u64()?);
     let channel = ChannelId(r.take_u8()?);
     let rank = RankId(r.take_u8()?);
-    let bank = r.take_u32()? as u16;
+    let bank = narrow("bank", r.take_u32()?)?;
     let row = RowId(r.take_u32()?);
-    let col = ColId(r.take_u32()? as u16);
+    let col = ColId(narrow("col", r.take_u32()?)?);
     Ok(QueuedRequest {
         id,
         req: MemRequest {
@@ -990,7 +1036,7 @@ impl Snapshot for ChannelController {
         // Queue order is behavioral: pick() returns indices and the
         // controller swap_removes, so entries are saved verbatim.
         w.put_usize(self.queue.len());
-        for q in &self.queue {
+        for q in self.queue.as_slice() {
             save_queued(w, q);
         }
         w.put_u64(self.next_id);
@@ -1059,11 +1105,28 @@ impl Snapshot for ChannelController {
                 self.cfg.queue_capacity
             )));
         }
-        self.queue.clear();
+        let mut restored = Vec::with_capacity(queued);
         for _ in 0..queued {
-            self.queue.push(load_queued(r)?);
+            let q = load_queued(r)?;
+            if let Some(why) = self.out_of_range(&q.access) {
+                return Err(SnapshotError::StateMismatch(format!(
+                    "queued request {} out of range: {why}",
+                    q.id
+                )));
+            }
+            restored.push(q);
         }
         self.next_id = r.take_u64()?;
+        check_queued_ids(&restored, self.next_id)?;
+        self.queue = RequestQueue::new(
+            self.cfg.queue_capacity,
+            self.cfg.ranks,
+            self.cfg.banks_per_rank,
+        );
+        for q in restored {
+            self.queue.push(q);
+        }
+        self.scheduler.check_restored(&self.queue)?;
         self.now = Time::from_ps(r.take_u64()?);
         let banks = r.take_usize()?;
         if banks != self.next_ref.len() {
@@ -1114,7 +1177,7 @@ impl Snapshot for ChannelController {
         }
         self.scheduler.digest_state(d);
         d.write_usize(self.queue.len());
-        for q in &self.queue {
+        for q in self.queue.as_slice() {
             d.write_u64(q.id);
             d.write_u64(q.req.addr);
             d.write_bool(q.req.kind == AccessKind::Write);
@@ -1446,6 +1509,124 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SnapshotError::StateMismatch(_)), "{err:?}");
         let _ = a.service_one();
+    }
+
+    /// A queued request's snapshot fields in `save_queued` order, each
+    /// widened to `u64` so a test can write values no request holds.
+    fn fields_of(q: &QueuedRequest) -> [u64; 10] {
+        [
+            q.id,
+            q.req.addr,
+            u64::from(q.req.kind == AccessKind::Write),
+            u64::from(q.req.source),
+            q.req.arrival.as_ps(),
+            u64::from(q.access.channel.0),
+            u64::from(q.access.rank.0),
+            u64::from(q.access.bank),
+            u64::from(q.access.row.0),
+            u64::from(q.access.col.0),
+        ]
+    }
+
+    /// The payload bytes `save_queued` writes for `fields`.
+    fn encode_entry(f: [u64; 10]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_u64(f[0]);
+        w.put_u64(f[1]);
+        w.put_bool(f[2] != 0);
+        w.put_u32(f[3] as u32);
+        w.put_u64(f[4]);
+        w.put_u8(f[5] as u8);
+        w.put_u8(f[6] as u8);
+        w.put_u32(f[7] as u32);
+        w.put_u32(f[8] as u32);
+        w.put_u32(f[9] as u32);
+        let blob = w.finish();
+        // Drop the magic + version header and the checksum trailer.
+        blob[6..blob.len() - 8].to_vec()
+    }
+
+    /// `blob` with queued request `q` re-encoded with `field` set to
+    /// `value`, resealed so only the controller's own checks can object.
+    fn forge(blob: &[u8], q: &QueuedRequest, field: usize, value: u64) -> Vec<u8> {
+        let old = encode_entry(fields_of(q));
+        let mut fields = fields_of(q);
+        fields[field] = value;
+        let new = encode_entry(fields);
+        let at = blob
+            .windows(old.len())
+            .position(|w| w == old)
+            .expect("the entry is in the blob");
+        let mut out = blob.to_vec();
+        out[at..at + old.len()].copy_from_slice(&new);
+        let n = out.len() - 8;
+        let sum = twice_common::snapshot::fnv1a(&out[..n]);
+        out[n..].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn restore_rejects_hostile_queue_entries() {
+        let mapper = AddressMapper::row_interleaved(&small_topo());
+        let mut a = controller();
+        for i in 0..8u32 {
+            let (req, access) = req(&mapper, (i % 2) as u16, 3 * i, 0);
+            a.submit(req, access);
+        }
+        a.service_one().expect("fault-free run");
+        a.service_one().expect("fault-free run");
+        let mut w = SnapshotWriter::new();
+        a.save_state(&mut w);
+        let blob = w.finish();
+        let queued = a.queue.as_slice().to_vec();
+        // PAR-BS batched the five oldest requests, so the oldest one
+        // still queued is in the batch; ids 0..8 were issued.
+        let slot = a.queue.oldest().expect("requests stay queued");
+        let (oldest, other) = (queued[slot], queued[(slot + 1) % queued.len()]);
+        let served = (0..8)
+            .find(|id| a.queue.slot_of(*id).is_none())
+            .expect("two requests were served");
+        // (field, hostile value, the check that must name it)
+        let cases = [
+            (5, 1, "channel 1 is not 0"),
+            (6, 1, "rank 1 of 1"),
+            (7, 2, "bank 2 of 2"),
+            (7, 0x1_0000, "bank 65536 does not fit"),
+            (8, 64, "row 64 of 64"),
+            (9, u64::from(DramRank::COLS_PER_ROW), "col 128 of 128"),
+            (9, 0x1_0005, "col 65541 does not fit"),
+            (3, 0x1_0002, "source 65538 does not fit"),
+            (0, 8, "id 8 is not below the next id 8"),
+            (0, other.id, "queued twice"),
+            (0, served, "PAR-BS batch names request"),
+        ];
+        for (field, value, check) in cases {
+            let forged = forge(&blob, &oldest, field, value);
+            let mut b = controller();
+            match b.load_state(&mut SnapshotReader::new(&forged).expect("resealed")) {
+                Err(SnapshotError::StateMismatch(why)) => assert!(why.contains(check), "{why}"),
+                other => panic!("expected {check:?}, got {other:?}"),
+            }
+        }
+        // The untouched blob still restores, and to the same state.
+        let mut b = controller();
+        b.load_state(&mut SnapshotReader::new(&blob).expect("valid header"))
+            .expect("restore");
+        assert_eq!(digest(&a), digest(&b));
+    }
+
+    #[test]
+    #[should_panic(expected = "channel 1 is not 0")]
+    fn submit_validates_the_channel() {
+        let mut c = controller();
+        let access = DecodedAccess {
+            channel: ChannelId(1),
+            rank: RankId(0),
+            bank: 0,
+            row: RowId(0),
+            col: ColId(0),
+        };
+        c.submit(MemRequest::read(0, 0, Time::ZERO), access);
     }
 
     #[test]

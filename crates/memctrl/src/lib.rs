@@ -18,6 +18,7 @@
 //! * [`request`] — memory requests and decoded DRAM coordinates.
 //! * [`addrmap`] — physical-address → (channel, rank, bank, row, col).
 //! * [`pagepolicy`] — when to close an open row.
+//! * [`queue`] — the request queue and its per-bank row-hit index.
 //! * [`scheduler`] — FCFS, FR-FCFS, and PAR-BS request schedulers.
 //! * [`controller`] — the per-channel controller event loop.
 //! * [`resilience`] — bounded nack retry, backoff, and the starvation
@@ -39,6 +40,7 @@ pub mod addrmap;
 pub mod controller;
 pub mod latency;
 pub mod pagepolicy;
+pub mod queue;
 pub mod request;
 pub mod resilience;
 pub mod scheduler;

@@ -7,21 +7,9 @@
 //! (and for the simpler policies) the classic **FR-FCFS** rule applies:
 //! row-buffer hits first, then oldest first.
 
-use crate::addrmap::DecodedAccess;
-use crate::request::MemRequest;
+use crate::queue::RequestQueue;
 use twice_common::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter, StateDigest};
-use twice_common::{RankId, RowId};
-
-/// A request waiting in the controller queue, with its decoded coordinate.
-#[derive(Debug, Clone, Copy)]
-pub struct QueuedRequest {
-    /// Monotonic id assigned by the controller at enqueue.
-    pub id: u64,
-    /// The request.
-    pub req: MemRequest,
-    /// Its decoded DRAM coordinate.
-    pub access: DecodedAccess,
-}
+use twice_dram::device::DramRank;
 
 /// Which scheduling policy to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,19 +25,19 @@ pub enum SchedulerKind {
 
 /// A request scheduler.
 ///
-/// `open_row` reports the currently open row of `(rank, bank)` so the
-/// scheduler can prefer row hits.
+/// Schedulers read the queue through its index and the channel's ranks
+/// for their open rows, so a pick costs O(banks) rather than O(queue).
 pub trait Scheduler: Send {
     /// The policy's display name.
     fn name(&self) -> &str;
 
-    /// Picks the index (into `queue`) of the request to service next.
-    /// Returns `None` iff `queue` is empty.
-    fn pick(
-        &mut self,
-        queue: &[QueuedRequest],
-        open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    ) -> Option<usize>;
+    /// Picks the slot (into `queue`) of the request to service next,
+    /// given the channel's `ranks` for their open rows. Returns `None`
+    /// iff `queue` is empty.
+    ///
+    /// `queue` must be the queue whose completions this scheduler was
+    /// told about through [`on_complete`](Self::on_complete).
+    fn pick(&mut self, queue: &RequestQueue, ranks: &[DramRank]) -> Option<usize>;
 
     /// Notifies the scheduler that request `id` completed.
     fn on_complete(&mut self, id: u64) {
@@ -69,6 +57,19 @@ pub trait Scheduler: Send {
     /// Decode errors from a truncated or mismatched snapshot.
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let _ = r;
+        Ok(())
+    }
+
+    /// Checks restored state against the restored `queue` (the
+    /// controller restores the scheduler before the queue, so this runs
+    /// once both are loaded).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::StateMismatch`] if the state names a request the
+    /// queue does not hold.
+    fn check_restored(&self, queue: &RequestQueue) -> Result<(), SnapshotError> {
+        let _ = queue;
         Ok(())
     }
 
@@ -97,12 +98,8 @@ impl Scheduler for Fcfs {
         "FCFS"
     }
 
-    fn pick(
-        &mut self,
-        queue: &[QueuedRequest],
-        _open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    ) -> Option<usize> {
-        oldest(queue, |_| true)
+    fn pick(&mut self, queue: &RequestQueue, _ranks: &[DramRank]) -> Option<usize> {
+        queue.oldest()
     }
 }
 
@@ -115,23 +112,24 @@ impl Scheduler for FrFcfs {
         "FR-FCFS"
     }
 
-    fn pick(
-        &mut self,
-        queue: &[QueuedRequest],
-        open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    ) -> Option<usize> {
-        pick_fr_fcfs(queue, open_row, |_| true)
+    fn pick(&mut self, queue: &RequestQueue, ranks: &[DramRank]) -> Option<usize> {
+        match queue.oldest_row_hit(ranks, |_| true) {
+            Some(id) => queue.slot_of(id),
+            None => queue.oldest(),
+        }
     }
 }
 
 /// Parallelism-aware batch scheduling.
 ///
-/// The batch is a sorted id vector rather than a hash set: ids are
-/// assigned monotonically, batch formation walks the queue in id order
-/// (so pushes arrive pre-sorted), and membership checks become binary
-/// searches over a handful of contiguous words. The snapshot encoding —
-/// length then ascending ids — is byte-identical to the old set-based
-/// one, which serialized sorted.
+/// The batch is a sorted id vector: ids are assigned monotonically and
+/// batch formation walks the queue oldest first, so pushes arrive
+/// pre-sorted, membership checks are binary searches, and `batch[0]` is
+/// the batch's oldest request. The batch is always a subset of the
+/// queue — [`on_complete`](Scheduler::on_complete) drops each served id
+/// and [`check_restored`](Scheduler::check_restored) rejects a snapshot
+/// that breaks it — so a pick never has to filter it. The snapshot
+/// encoding is length then ascending ids.
 #[derive(Debug, Clone)]
 pub struct ParBs {
     batch_cap: usize,
@@ -160,15 +158,12 @@ impl ParBs {
         self.batch.binary_search(&id).is_ok()
     }
 
-    fn form_batch(&mut self, queue: &[QueuedRequest]) {
-        // Up to `batch_cap` oldest requests per source. The queue is not
-        // id-sorted, so gather (id, source) pairs and order them; the
-        // pass then grants in arrival order and the batch comes out
-        // sorted for free.
-        let mut order: Vec<(u64, u16)> = queue.iter().map(|q| (q.id, q.req.source)).collect();
-        order.sort_unstable();
+    /// Batches up to `batch_cap` oldest requests per source. The walk is
+    /// oldest first, so the batch comes out sorted.
+    fn form_batch(&mut self, queue: &RequestQueue) {
         self.per_source.clear();
-        for (id, source) in order {
+        for q in queue.by_age() {
+            let source = q.req.source;
             let n = match self.per_source.iter_mut().find(|(s, _)| *s == source) {
                 Some((_, n)) => n,
                 None => {
@@ -178,7 +173,7 @@ impl ParBs {
             };
             if *n < self.batch_cap {
                 *n += 1;
-                self.batch.push(id);
+                self.batch.push(q.id);
             }
         }
         debug_assert!(self.batch.windows(2).all(|w| w[0] < w[1]));
@@ -190,22 +185,22 @@ impl Scheduler for ParBs {
         "PAR-BS"
     }
 
-    fn pick(
-        &mut self,
-        queue: &[QueuedRequest],
-        open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    ) -> Option<usize> {
+    fn pick(&mut self, queue: &RequestQueue, ranks: &[DramRank]) -> Option<usize> {
         if queue.is_empty() {
             return None;
         }
-        // Drop completed ids lazily and re-batch when the batch drains.
-        // Queues are short (bounded by the controller's queue depth), so
-        // a linear membership scan beats building a hash set per pick.
-        self.batch.retain(|id| queue.iter().any(|q| q.id == *id));
         if self.batch.is_empty() {
             self.form_batch(queue);
         }
-        pick_fr_fcfs(queue, open_row, |q| self.contains(q.id))
+        // FR-FCFS inside the batch: its oldest row hit, else its oldest.
+        let id = queue
+            .oldest_row_hit(ranks, |id| self.contains(id))
+            .unwrap_or(self.batch[0]);
+        Some(
+            queue
+                .slot_of(id)
+                .expect("the batch is a subset of the queue"),
+        )
     }
 
     fn on_complete(&mut self, id: u64) {
@@ -235,6 +230,15 @@ impl Scheduler for ParBs {
         Ok(())
     }
 
+    fn check_restored(&self, queue: &RequestQueue) -> Result<(), SnapshotError> {
+        match self.batch.iter().find(|&&id| queue.slot_of(id).is_none()) {
+            Some(id) => Err(SnapshotError::StateMismatch(format!(
+                "PAR-BS batch names request {id}, which is not queued"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     fn digest_state(&self, d: &mut StateDigest) {
         for id in &self.batch {
             d.write_u64(*id);
@@ -242,49 +246,15 @@ impl Scheduler for ParBs {
     }
 }
 
-/// One pass over the queue tracking all three FR-FCFS preference tiers
-/// at once: oldest eligible row hit, oldest eligible, oldest overall
-/// (the fallback when the eligibility filter matches nothing).
-fn pick_fr_fcfs(
-    queue: &[QueuedRequest],
-    open_row: &dyn Fn(RankId, u16) -> Option<RowId>,
-    eligible: impl Fn(&QueuedRequest) -> bool,
-) -> Option<usize> {
-    let mut hit: Option<(u64, usize)> = None;
-    let mut elig: Option<(u64, usize)> = None;
-    let mut any: Option<(u64, usize)> = None;
-    for (i, q) in queue.iter().enumerate() {
-        let key = (q.id, i);
-        if any.is_none_or(|b| key < b) {
-            any = Some(key);
-        }
-        if eligible(q) {
-            if elig.is_none_or(|b| key < b) {
-                elig = Some(key);
-            }
-            if open_row(q.access.rank, q.access.bank) == Some(q.access.row)
-                && hit.is_none_or(|b| key < b)
-            {
-                hit = Some(key);
-            }
-        }
-    }
-    hit.or(elig).or(any).map(|(_, i)| i)
-}
-
-fn oldest(queue: &[QueuedRequest], pred: impl Fn(&QueuedRequest) -> bool) -> Option<usize> {
-    queue
-        .iter()
-        .enumerate()
-        .filter(|(_, q)| pred(q))
-        .min_by_key(|(_, q)| q.id)
-        .map(|(i, _)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twice_common::{ChannelId, ColId, Time};
+    use crate::addrmap::DecodedAccess;
+    use crate::queue::QueuedRequest;
+    use crate::request::MemRequest;
+    use twice_common::{ChannelId, ColId, RankId, RowId, Time};
+    use twice_dram::cmd::DramCommand;
+    use twice_dram::device::RankConfig;
 
     fn q(id: u64, source: u16, bank: u16, row: u32) -> QueuedRequest {
         QueuedRequest {
@@ -300,52 +270,89 @@ mod tests {
         }
     }
 
-    fn no_open(_: RankId, _: u16) -> Option<RowId> {
-        None
+    fn queue(reqs: &[QueuedRequest]) -> RequestQueue {
+        let mut queue = RequestQueue::new(reqs.len(), 1, 4);
+        for r in reqs {
+            queue.push(*r);
+        }
+        queue
+    }
+
+    /// One rank of four banks with `open` rows active.
+    fn rank_with(open: &[(u16, u32)]) -> Vec<DramRank> {
+        let mut rank = DramRank::new(RankConfig::for_test(4, 64));
+        for (i, &(bank, row)) in open.iter().enumerate() {
+            let cmd = DramCommand::Activate {
+                bank,
+                row: RowId(row),
+            };
+            rank.issue(cmd, Time::from_ps(1_000_000 * (i as u64 + 1)))
+                .expect("spaced ACTs are legal");
+        }
+        vec![rank]
     }
 
     #[test]
     fn fcfs_picks_oldest() {
         let mut s = Fcfs;
-        let queue = vec![q(5, 0, 0, 1), q(2, 0, 1, 2), q(9, 0, 2, 3)];
-        assert_eq!(s.pick(&queue, &no_open), Some(1));
-        assert_eq!(s.pick(&[], &no_open), None);
+        let closed = rank_with(&[]);
+        let reqs = queue(&[q(5, 0, 0, 1), q(2, 0, 1, 2), q(9, 0, 2, 3)]);
+        assert_eq!(s.pick(&reqs, &closed), Some(1));
+        assert_eq!(s.pick(&queue(&[]), &closed), None);
     }
 
     #[test]
     fn frfcfs_prefers_row_hits() {
         let mut s = FrFcfs;
-        let queue = vec![q(1, 0, 0, 10), q(2, 0, 0, 20), q(3, 0, 0, 20)];
-        let open = |_: RankId, b: u16| if b == 0 { Some(RowId(20)) } else { None };
-        // Oldest row hit is id 2 (index 1), despite id 1 being older.
-        assert_eq!(s.pick(&queue, &open), Some(1));
+        let reqs = queue(&[q(1, 0, 0, 10), q(2, 0, 0, 20), q(3, 0, 0, 20)]);
+        // Oldest row hit is id 2 (slot 1), despite id 1 being older.
+        assert_eq!(s.pick(&reqs, &rank_with(&[(0, 20)])), Some(1));
         // Without an open row, oldest wins.
-        assert_eq!(s.pick(&queue, &no_open), Some(0));
+        assert_eq!(s.pick(&reqs, &rank_with(&[])), Some(0));
     }
 
     #[test]
     fn parbs_caps_per_source_and_prioritizes_batch() {
         let mut s = ParBs::new(1);
+        let closed = rank_with(&[]);
         // Source 0 floods; source 1 has one old request.
-        let queue = vec![q(1, 0, 0, 1), q(2, 0, 0, 2), q(3, 1, 1, 3)];
+        let mut reqs = queue(&[q(1, 0, 0, 1), q(2, 0, 0, 2), q(3, 1, 1, 3)]);
         // Batch = {1 (src0 oldest), 3 (src1 oldest)}. Pick oldest in batch.
-        assert_eq!(s.pick(&queue, &no_open), Some(0));
+        assert_eq!(s.pick(&reqs, &closed), Some(0));
+        reqs.swap_remove(0);
         s.on_complete(1);
-        let queue = vec![q(2, 0, 0, 2), q(3, 1, 1, 3)];
         // Request 2 is NOT in the batch; 3 is.
-        assert_eq!(s.pick(&queue, &no_open), Some(1));
+        let slot = s.pick(&reqs, &closed).expect("queue is not empty");
+        assert_eq!(reqs[slot].id, 3);
+        reqs.swap_remove(slot);
         s.on_complete(3);
         // Batch drained: a new batch forms and 2 is serviced.
-        let queue = vec![q(2, 0, 0, 2)];
-        assert_eq!(s.pick(&queue, &no_open), Some(0));
+        assert_eq!(s.pick(&reqs, &closed), Some(0));
     }
 
     #[test]
     fn parbs_prefers_row_hits_within_batch() {
         let mut s = ParBs::new(2);
-        let queue = vec![q(1, 0, 0, 10), q(2, 0, 0, 20)];
-        let open = |_: RankId, _: u16| Some(RowId(20));
-        assert_eq!(s.pick(&queue, &open), Some(1));
+        let reqs = queue(&[q(1, 0, 0, 10), q(2, 0, 0, 20)]);
+        assert_eq!(s.pick(&reqs, &rank_with(&[(0, 20)])), Some(1));
+    }
+
+    #[test]
+    fn parbs_ignores_row_hits_outside_the_batch() {
+        let mut s = ParBs::new(1);
+        // Batch = {1}; id 2 hits the open row but is not batched.
+        let reqs = queue(&[q(1, 0, 1, 10), q(2, 0, 0, 20)]);
+        assert_eq!(s.pick(&reqs, &rank_with(&[(0, 20)])), Some(0));
+    }
+
+    #[test]
+    fn parbs_restore_rejects_a_batch_outside_the_queue() {
+        let mut s = ParBs::new(2);
+        let reqs = queue(&[q(1, 0, 0, 10), q(2, 0, 0, 20)]);
+        s.pick(&reqs, &rank_with(&[]));
+        assert!(s.check_restored(&reqs).is_ok());
+        let err = s.check_restored(&queue(&[q(2, 0, 0, 20)])).unwrap_err();
+        assert!(matches!(err, SnapshotError::StateMismatch(_)), "{err:?}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use twice::TwiceParams;
 use twice_common::fault::FaultPlan;
-use twice_common::{ConfigError, Topology};
+use twice_common::{ChannelId, ConfigError, Topology};
 use twice_memctrl::controller::ControllerConfig;
 use twice_memctrl::controller::RefreshMode;
 use twice_memctrl::pagepolicy::PagePolicy;
@@ -125,6 +125,7 @@ impl SimConfig {
     /// The per-channel controller configuration.
     pub fn controller_config(&self, channel: u8) -> ControllerConfig {
         ControllerConfig {
+            channel: ChannelId(channel),
             timings: self.params.timings.clone(),
             ranks: self.topology.ranks_per_channel,
             banks_per_rank: self.topology.banks_per_rank,
